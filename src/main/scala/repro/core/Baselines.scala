@@ -1,8 +1,8 @@
 package repro.core
 
-import repro.cover.{MaxCover, PesIndex}
+import repro.cover.MaxCover
 import repro.enumeration.{Enumerator, PatternNode, TedTimeout}
-import repro.graph.{DfsCode, GraphDb}
+import repro.graph.GraphDb
 
 /** The four baseline solutions of Sections 3 and 7.1:
   *

@@ -125,22 +125,13 @@ object Ted {
       ub > threshold
     }
 
-    def dfs(node: PatternNode): Unit = {
-      maintain(node)
-      if (node.numEdges < cfg.eMax) {
-        var kids = en.children(node)
-        if (cfg.usePrm) kids = kids.filter(prmKeep(node, _))
-        kids.foreach(dfs)
-      }
-    }
-
     try {
       if (cfg.useIps)
         Ips.initialPatterns(en, db, cfg).foreach { n =>
           if (n.numEdges >= cfg.minEdges && !pes.isFull && !pes.contains(n.key))
             pes.insert(n.code, n.key, n.coverGlobal(db))
         }
-      en.roots.foreach(dfs)
+      if (cfg.usePrm) en.traverse(maintain, prmKeep) else en.traverse(maintain)
     } catch {
       case _: TedTimeout => timedOut = true
     }

@@ -158,18 +158,6 @@ object Vqf {
     chosen.toSeq
   }
 
-  /** Synthetic "biological importance" repository (DESIGN.md §4): all
-    * canonical codes occurring at least `minOcc` times in an independently
-    * generated molecule collection. A pattern is "biologically important"
-    * iff its code occurs there.
-    */
-  def buildRepository(repoDb: GraphDb, eMax: Int, minOcc: Int): Set[String] = {
-    val en = new Enumerator(repoDb, eMax, minOcc, Long.MaxValue)
-    val codes = mutable.Set.empty[String]
-    en.traverse { n => codes += n.key; true }
-    codes.toSet
-  }
-
   /** Stricter repository variant: a pattern is important iff it is
     * isomorphic to a *whole compound* of the repository (the paper's "has
     * a CID in PubChem") — canonical-code equality against a library of

@@ -5,7 +5,7 @@ import org.apache.spark.sql.functions._
 import scala.collection.mutable
 import repro.core.{Pattern, RunResult, Ted, TedConfig}
 import repro.cover.MaxCover
-import repro.graph.{DfsCode, LabeledGraph}
+import repro.graph.DfsCode
 import repro.iso.SubIso
 
 /** Cover of one candidate pattern over one graph: the covered local edge
@@ -66,12 +66,6 @@ object DistTed {
       .toDF("code", "graph_id", "edge_id")
   }
 
-  /** Coverage (distinct covered edges of D) of the union of `candidates`,
-    * computed as a Spark SQL aggregate.
-    */
-  def unionCoverage(spark: SparkSession, ds: Dataset[GraphRow], candidates: Seq[String]): Long =
-    coverDF(spark, ds, candidates).select("graph_id", "edge_id").distinct().count()
-
   final case class DistResult(
       result: RunResult,
       candidatePoolSize: Int,
@@ -79,22 +73,27 @@ object DistTed {
   )
 
   /** The full three-phase job. `localK` widens the per-partition pattern
-    * budget (defaults to cfg.k) to enrich the candidate pool.
+    * budget (defaults to cfg.k) to enrich the candidate pool. Throws
+    * IllegalArgumentException if two rows share a graph id.
     */
   def run(spark: SparkSession, ds: Dataset[GraphRow], cfg: TedConfig, localK: Int = 0): DistResult = {
     val t0 = System.nanoTime()
     val parts = ds.rdd.getNumPartitions
     val kLocal = if (localK > 0) localK else cfg.k
-    val candidates = localCandidates(spark, ds, cfg.copy(k = kLocal))
 
     // Global edge-id space: order graphs by id, offset by cumulative edges.
+    // Ids must be unique, or two graphs' covers would share one range.
     val sizes = ds.select(col("id"), size(col("src")).as("e"))
       .collect().map(r => (r.getLong(0), r.getInt(1))).sortBy(_._1)
     val offset = mutable.Map.empty[Long, Int]
     var acc = 0
-    sizes.foreach { case (id, e) => offset(id) = acc; acc += e }
+    sizes.foreach { case (id, e) =>
+      if (offset.contains(id)) throw new IllegalArgumentException(s"duplicate graph id $id")
+      offset(id) = acc; acc += e
+    }
     val totalEdges = acc
 
+    val candidates = localCandidates(spark, ds, cfg.copy(k = kLocal))
     val covers = coverDS(spark, ds, candidates).collect()
     val byCode = covers.groupBy(_.code)
     val ordered = candidates.filter(byCode.contains)

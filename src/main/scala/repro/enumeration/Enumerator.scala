@@ -78,7 +78,7 @@ final class Enumerator(
 ) {
   private val startNanos = System.nanoTime()
 
-  def checkDeadline(): Unit =
+  private def checkDeadline(): Unit =
     if (System.nanoTime() > deadlineNanos)
       throw new TedTimeout((System.nanoTime() - startNanos) / 1000000L)
 
@@ -143,22 +143,25 @@ final class Enumerator(
   }
 
   /** Depth-first traversal of the whole (support-pruned) search space up
-    * to `eMax` edges. `visit` returns false to prune the subtree below a
-    * node (used by TED_PRM).
+    * to `eMax` edges — the one DFS behind TED, its baselines and VQF.
+    * `visit` runs at every node; below `eMax`, `keep(parent, child)` then
+    * judges every sibling before any is descended into (TED_PRM's rule).
     */
-  def traverse(visit: PatternNode => Boolean): Unit =
-    roots.foreach(r => traverseFrom(r, visit))
-
-  def traverseFrom(node: PatternNode, visit: PatternNode => Boolean): Unit = {
-    checkDeadline()
-    if (visit(node) && node.numEdges < eMax)
-      children(node).foreach(c => traverseFrom(c, visit))
+  def traverse(
+      visit: PatternNode => Unit,
+      keep: (PatternNode, PatternNode) => Boolean = (_, _) => true,
+  ): Unit = {
+    def walk(node: PatternNode): Unit = {
+      visit(node)
+      if (node.numEdges < eMax) children(node).filter(keep(node, _)).foreach(walk)
+    }
+    roots.foreach(walk)
   }
 
   /** Collect every pattern (the memory-hungry baseline path). */
   def collectAll(): IndexedSeq[PatternNode] = {
     val buf = mutable.ArrayBuffer.empty[PatternNode]
-    traverse { n => buf += n; true }
+    traverse(buf += _)
     buf.toIndexedSeq
   }
 }

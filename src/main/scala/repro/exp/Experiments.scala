@@ -170,20 +170,19 @@ object Experiments {
 
   final case class BioRow(method: String, important: Int, total: Int)
 
-  /** Table 7 with a caller-supplied repository (exact-compound codes or
-    * frequent-fragment codes — see Vqf.exactRepository/buildRepository).
+  /** Table 7 against a caller-supplied repository of canonical code keys
+    * (whole-compound codes — see Vqf.exactRepository).
     */
   def table7(db: GraphDb, repository: Set[String], k: Int, eMax: Int, supMin: Double,
              minEdges: Int = 3, timeoutMillis: Long = Long.MaxValue): Seq[BioRow] = {
-    val repo = repository
     val ted = Ted.full(db, TedConfig(k = k, eMax = eMax, minEdges = minEdges,
       timeoutMillis = timeoutMillis)).patterns
     val fs  = Baselines.topKFrequent(db, k, eMax, supMin, minEdges)
     val cat = Vqf.catapultProxy(db, k, eMax, supMin, minEdges)
     Seq(
-      BioRow("FS", Vqf.bioImportance(fs, repo), fs.size),
-      BioRow("CATAPULT", Vqf.bioImportance(cat, repo), cat.size),
-      BioRow("TED", Vqf.bioImportance(ted, repo), ted.size),
+      BioRow("FS", Vqf.bioImportance(fs, repository), fs.size),
+      BioRow("CATAPULT", Vqf.bioImportance(cat, repository), cat.size),
+      BioRow("TED", Vqf.bioImportance(ted, repository), ted.size),
     )
   }
 

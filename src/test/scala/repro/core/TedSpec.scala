@@ -154,8 +154,12 @@ class TedSpec extends AnyFunSuite {
   }
 
   test("enumerated counter counts maintained patterns") {
-    val res = Ted.base(SampleDb.db, cfg)
-    assert(res.enumerated > 0)
+    // BASE streams exactly the space the collect baselines store, with and
+    // without support pruning (the FSG_t path).
+    Seq(cfg, cfg.copy(minSupport = 2)).foreach { c =>
+      val space = new repro.enumeration.Enumerator(SampleDb.db, c.eMax, c.minSupport).collectAll()
+      assert(Ted.base(SampleDb.db, c).enumerated == space.size, s"minSupport=${c.minSupport}")
+    }
   }
 
   test("index accounting is populated") {

@@ -1,7 +1,6 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import scala.util.Random
 import repro.data.{MoleculeGen, SampleDb}
 import repro.graph.LabeledGraph
 import repro.iso.SubIso
@@ -90,7 +89,7 @@ class VqfSpec extends AnyFunSuite {
 
   test("repository membership marks real substructures") {
     val repoDb = MoleculeGen.db(MoleculeGen.aidsLike(30, seed = 5))
-    val repo = Vqf.buildRepository(repoDb, eMax = 3, minOcc = 2)
+    val repo = Vqf.exactRepository(repoDb)
     assert(repo.nonEmpty)
     // A pattern enumerated from the same generator distribution is
     // overwhelmingly likely in the repository; a nonsense label is not.

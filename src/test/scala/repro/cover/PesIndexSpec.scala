@@ -2,7 +2,6 @@ package repro.cover
 
 import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
-import repro.TestGraphs
 import repro.data.SampleDb
 import repro.graph.{CodeEdge, GraphDb}
 

@@ -1,6 +1,6 @@
 package repro.dist
 
-import repro.{Oracle, SparkSpec, TestGraphs}
+import repro.{Oracle, SparkSpec}
 import repro.core.{Baselines, Ted, TedConfig}
 import repro.data.{MoleculeGen, SampleDb}
 import repro.graph.DfsCode
@@ -31,7 +31,6 @@ class DistTedSpec extends SparkSpec {
   }
 
   test("union coverage via Spark SQL matches the DuckDB oracle") {
-    import spark.implicits._
     val cands = DistTed.localCandidates(spark, ds, cfg)
     val coverDf = DistTed.coverDF(spark, ds, cands)
     val sparkAgg = coverDf.selectExpr("count(DISTINCT graph_id, edge_id) AS covered")
@@ -70,6 +69,15 @@ class DistTedSpec extends SparkSpec {
     val wide = DistTed.run(spark, ds, cfg, localK = 6)
     assert(wide.candidatePoolSize >= base.candidatePoolSize)
     assert(wide.result.coverage >= base.result.coverage - 1)
+  }
+
+  test("duplicate graph ids are rejected") {
+    import spark.implicits._
+    val rows = Seq(SampleDb.g1, SampleDb.g2).map(g => GraphFrames.toRow(g).copy(id = 7L))
+    val err = intercept[IllegalArgumentException] {
+      DistTed.run(spark, spark.createDataset(rows), cfg)
+    }
+    assert(err.getMessage.contains("duplicate graph id 7"))
   }
 
   test("distributed TED on generated molecules reaches sane coverage") {

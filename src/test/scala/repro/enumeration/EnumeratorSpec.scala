@@ -1,7 +1,6 @@
 package repro.enumeration
 
 import org.scalatest.funsuite.AnyFunSuite
-import scala.collection.mutable
 import scala.util.Random
 import repro.TestGraphs
 import repro.data.SampleDb
@@ -123,16 +122,17 @@ class EnumeratorSpec extends AnyFunSuite {
     }
   }
 
-  test("traverse visit=false prunes the subtree") {
+  test("traverse keep=false prunes the subtree") {
     val db = SampleDb.db
+    val upTo2 = (_: PatternNode, c: PatternNode) => c.numEdges <= 2
     var visitedAll = 0
-    new Enumerator(db, 3).traverse { _ => visitedAll += 1; true }
+    new Enumerator(db, 3).traverse(_ => visitedAll += 1)
     var visitedPruned = 0
-    new Enumerator(db, 3).traverse { n => visitedPruned += 1; n.numEdges < 2 }
+    new Enumerator(db, 3).traverse(_ => visitedPruned += 1, upTo2)
     assert(visitedPruned < visitedAll)
-    // With pruning at 2 edges, nothing of size 3 is visited.
+    // With children above 2 edges rejected, nothing of size 3 is visited.
     var maxSize = 0
-    new Enumerator(db, 3).traverse { n => maxSize = math.max(maxSize, n.numEdges); n.numEdges < 2 }
+    new Enumerator(db, 3).traverse(n => maxSize = math.max(maxSize, n.numEdges), upTo2)
     assert(maxSize == 2)
   }
 
