@@ -1,6 +1,5 @@
 package repro.core
 
-import scala.collection.mutable
 import repro.cover.PesIndex
 import repro.enumeration.{Enumerator, PatternNode, TedTimeout}
 import repro.graph._
@@ -147,12 +146,17 @@ object Ted {
 
   /** Support derived from a cover set: the distinct graphs it touches
     * (each embedding contributes its own graph's edges, so the covered
-    * graphs are exactly the containing graphs).
+    * graphs are exactly the containing graphs). Covers are sorted, so each
+    * graph's edges are contiguous and the graph changes count it.
     */
   private def supportOf(db: GraphDb, cover: Array[Int]): Int = {
-    val s = mutable.Set.empty[Int]
-    cover.foreach(e => s += db.graphOfEdge(e))
-    s.size
+    var n = 0
+    var last = -1
+    cover.foreach { e =>
+      val g = db.graphOfEdge(e)
+      if (g != last) { n += 1; last = g }
+    }
+    n
   }
 
   /** TED_BASE: Algorithm 3 without either optimization. */

@@ -30,16 +30,23 @@ final case class PatternCover(code: String, graph_id: Long, edges: Array[Int])
 object DistTed {
 
   /** Phase 1: per-partition sequential TED; returns canonical code keys. */
-  def localCandidates(spark: SparkSession, ds: Dataset[GraphRow], cfg: TedConfig): Seq[String] = {
+  def localCandidates(spark: SparkSession, ds: Dataset[GraphRow], cfg: TedConfig): Seq[String] =
+    scanShards(spark, ds, cfg)._1
+
+  /** Phase 1 with its deadline outcome: the sorted distinct candidate keys
+    * and whether any shard's run timed out.
+    */
+  private def scanShards(spark: SparkSession, ds: Dataset[GraphRow], cfg: TedConfig): (Seq[String], Boolean) = {
     import spark.implicits._
-    ds.mapPartitions { it =>
+    val shards = ds.mapPartitions { it =>
       val graphs = it.map(GraphFrames.toGraph).toIndexedSeq
       if (graphs.isEmpty) Iterator.empty
       else {
-        val db = new repro.graph.GraphDb(graphs)
-        Ted.run(db, cfg).patterns.iterator.map(_.key)
+        val res = Ted.run(new repro.graph.GraphDb(graphs), cfg)
+        Iterator((res.patterns.map(_.key), res.timedOut))
       }
-    }.distinct().collect().toSeq.sorted
+    }.collect()
+    (shards.iterator.flatMap(_._1).distinct.toSeq.sorted, shards.exists(_._2))
   }
 
   /** Phase 2: cover sets of the given candidate patterns over every graph
@@ -73,7 +80,8 @@ object DistTed {
   )
 
   /** The full three-phase job. `localK` widens the per-partition pattern
-    * budget (defaults to cfg.k) to enrich the candidate pool. Throws
+    * budget (defaults to cfg.k) to enrich the candidate pool. The result
+    * is `timedOut` if any shard's run hit `cfg.timeoutMillis`. Throws
     * IllegalArgumentException if two rows share a graph id.
     */
   def run(spark: SparkSession, ds: Dataset[GraphRow], cfg: TedConfig, localK: Int = 0): DistResult = {
@@ -93,7 +101,7 @@ object DistTed {
     }
     val totalEdges = acc
 
-    val candidates = localCandidates(spark, ds, cfg.copy(k = kLocal))
+    val (candidates, timedOut) = scanShards(spark, ds, cfg.copy(k = kLocal))
     val covers = coverDS(spark, ds, candidates).collect()
     val byCode = covers.groupBy(_.code)
     val ordered = candidates.filter(byCode.contains)
@@ -108,7 +116,7 @@ object DistTed {
       Pattern(code, DfsCode.toGraph(code), coverSets(ci), support)
     }
     val res = RunResult("DistTED", patterns, coverage, totalEdges,
-      (System.nanoTime() - t0) / 1000000L, candidates.size.toLong, 0L, 0L, timedOut = false)
+      (System.nanoTime() - t0) / 1000000L, candidates.size.toLong, 0L, 0L, timedOut)
     DistResult(res, candidates.size, parts)
   }
 }

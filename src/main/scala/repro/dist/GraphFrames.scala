@@ -41,7 +41,36 @@ object GraphFrames {
 
   def toRow(g: LabeledGraph): GraphRow = GraphRow(g.id, g.vertexLabels, g.src, g.dst, g.edgeLabels)
 
-  def toGraph(r: GraphRow): LabeledGraph = new LabeledGraph(r.id, r.vlabels, r.src, r.dst, r.elabels)
+  /** Decode a row, rejecting what [[LabeledGraph]] assumes never happens:
+    * an out-of-range vertex index, a repeated undirected edge or a
+    * disconnected graph each throw IllegalArgumentException naming the
+    * graph id.
+    */
+  def toGraph(r: GraphRow): LabeledGraph = {
+    val n = r.vlabels.length
+    val m = r.src.length
+    require(r.dst.length == m && r.elabels.length == m,
+      s"graph ${r.id}: edge arrays disagree (${r.src.length}/${r.dst.length}/${r.elabels.length})")
+    val pairs = new Array[Long](m)
+    var e = 0
+    while (e < m) {
+      val u = r.src(e); val v = r.dst(e)
+      require(u >= 0 && u < n && v >= 0 && v < n,
+        s"graph ${r.id}: edge $e ($u, $v) names a vertex outside 0 until $n")
+      pairs(e) = math.min(u, v).toLong * n + math.max(u, v)
+      e += 1
+    }
+    java.util.Arrays.sort(pairs)
+    e = 1
+    while (e < m) {
+      require(pairs(e) != pairs(e - 1),
+        s"graph ${r.id}: duplicate edge (${pairs(e) / n}, ${pairs(e) % n})")
+      e += 1
+    }
+    val g = new LabeledGraph(r.id, r.vlabels, r.src, r.dst, r.elabels)
+    require(g.isConnected, s"graph ${r.id} is not connected")
+    g
+  }
 
   def toDS(spark: SparkSession, db: GraphDb): Dataset[GraphRow] = {
     import spark.implicits._

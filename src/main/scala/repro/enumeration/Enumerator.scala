@@ -26,11 +26,7 @@ final class PatternNode(
   lazy val graph: LabeledGraph = DfsCode.toGraph(code)
 
   /** Distinct database graph indices containing this pattern, ascending. */
-  lazy val graphIds: Array[Int] = {
-    val s = mutable.SortedSet.empty[Int]
-    embeddings.foreach(e => s += e.graphIdx)
-    s.toArray
-  }
+  lazy val graphIds: Array[Int] = PatternNode.sortedDistinct(embeddings.map(_.graphIdx))
 
   def support: Int = graphIds.length
 
@@ -38,23 +34,57 @@ final class PatternNode(
 
   /** Cover set over the whole database as sorted distinct global edge ids:
     * `Cov(p, D) = union over embeddings of their edge images`.
+    *
+    * Embeddings arrive grouped by ascending graph index and each graph owns
+    * a contiguous range of global ids, so sorting every graph's run of edge
+    * ids sorts the whole array; out-of-order embeddings fall back to one
+    * global sort.
     */
   def coverGlobal(db: GraphDb): Array[Int] = {
     if (coverCache == null) {
-      val s = new java.util.TreeSet[Integer]()
-      embeddings.foreach { emb =>
+      var n = 0
+      embeddings.foreach(n += _.eids.length)
+      val out = new Array[Int](n)
+      var runStart = 0
+      var pos = 0
+      var i = 0
+      while (i < embeddings.length) {
+        val emb = embeddings(i)
+        if (i > 0 && emb.graphIdx != embeddings(i - 1).graphIdx) {
+          java.util.Arrays.sort(out, runStart, pos)
+          runStart = pos
+        }
         val off = db.edgeOffset(emb.graphIdx)
-        emb.eids.foreach(e => s.add(off + e))
+        var t = 0
+        while (t < emb.eids.length) { out(pos) = off + emb.eids(t); pos += 1; t += 1 }
+        i += 1
       }
-      val out = new Array[Int](s.size)
-      val it = s.iterator(); var i = 0
-      while (it.hasNext) { out(i) = it.next(); i += 1 }
-      coverCache = out
+      java.util.Arrays.sort(out, runStart, pos)
+      coverCache = PatternNode.sortedDistinct(out)
     }
     coverCache
   }
 
   def coverage(db: GraphDb): Int = coverGlobal(db).length
+}
+
+object PatternNode {
+
+  /** The distinct values of `a`, ascending. Sorts `a` in place unless it
+    * is sorted already; returns `a` itself when nothing repeats.
+    */
+  private def sortedDistinct(a: Array[Int]): Array[Int] = {
+    var i = 1
+    while (i < a.length && a(i - 1) <= a(i)) i += 1
+    if (i < a.length) java.util.Arrays.sort(a)
+    var m = 0
+    i = 0
+    while (i < a.length) {
+      if (m == 0 || a(i) != a(m - 1)) { a(m) = a(i); m += 1 }
+      i += 1
+    }
+    if (m == a.length) a else java.util.Arrays.copyOf(a, m)
+  }
 }
 
 /** Thrown when an enumeration-driven algorithm exceeds its deadline; the
@@ -119,27 +149,34 @@ final class Enumerator(
     */
   def children(p: PatternNode): IndexedSeq[PatternNode] = {
     checkDeadline()
-    val byExt = mutable.Map.empty[CodeEdge, mutable.ArrayBuffer[Emb]]
+    // Each distinct extension code is judged once, when it first appears;
+    // a rejected code maps to `Rejected` and builds no embedding.
+    val byExt = new java.util.HashMap[CodeEdge, mutable.ArrayBuffer[Emb]]()
     p.embeddings.foreach { emb =>
       val g = db.graphs(emb.graphIdx)
       RightMost.foreachExtension(g, p.rmPath, p.nVerts, emb.vmap, emb.eids) { (ce, w, eid) =>
-        val nv = if (w >= 0) emb.vmap :+ w else emb.vmap
-        byExt.getOrElseUpdate(ce, mutable.ArrayBuffer.empty) +=
-          Emb(emb.graphIdx, nv, emb.eids :+ eid)
+        var embs = byExt.get(ce)
+        if (embs == null) {
+          embs = if (CanonicalCode.isMin(p.code :+ ce)) mutable.ArrayBuffer.empty else Enumerator.Rejected
+          byExt.put(ce, embs)
+        }
+        if (embs ne Enumerator.Rejected)
+          embs += Emb(emb.graphIdx,
+            if (w >= 0) RightMost.appended(emb.vmap, w) else emb.vmap, RightMost.appended(emb.eids, eid))
       }
     }
-    byExt.toIndexedSeq
-      .sortBy(_._1)(CodeEdge.ordering)
-      .flatMap { case (ce, embs) =>
-        val code = p.code :+ ce
-        if (!CanonicalCode.isMin(code)) None
-        else {
-          val rm = if (ce.isForward) DfsCode.extendRmPath(p.rmPath, ce) else p.rmPath
-          val nv = if (ce.isForward) p.nVerts + 1 else p.nVerts
-          val node = new PatternNode(code, rm, nv, embs.toArray)
-          if (node.support >= minSupport) Some(node) else None
-        }
+    val kept = mutable.ArrayBuffer.empty[(CodeEdge, mutable.ArrayBuffer[Emb])]
+    byExt.forEach((ce, embs) => if (embs ne Enumerator.Rejected) kept += ce -> embs)
+    kept
+      .sortInPlaceBy(_._1)(CodeEdge.ordering)
+      .iterator
+      .map { case (ce, embs) =>
+        val rm = if (ce.isForward) DfsCode.extendRmPath(p.rmPath, ce) else p.rmPath
+        val nv = if (ce.isForward) p.nVerts + 1 else p.nVerts
+        new PatternNode(p.code :+ ce, rm, nv, embs.toArray)
       }
+      .filter(_.support >= minSupport)
+      .toIndexedSeq
   }
 
   /** Depth-first traversal of the whole (support-pruned) search space up
@@ -164,4 +201,9 @@ final class Enumerator(
     traverse(buf += _)
     buf.toIndexedSeq
   }
+}
+
+object Enumerator {
+  /** Marks an extension code whose pattern is not canonical. */
+  private val Rejected = mutable.ArrayBuffer.empty[Emb]
 }

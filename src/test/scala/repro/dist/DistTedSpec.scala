@@ -80,6 +80,13 @@ class DistTedSpec extends SparkSpec {
     assert(err.getMessage.contains("duplicate graph id 7"))
   }
 
+  test("a shard deadline shows up as timedOut") {
+    val mds = GraphFrames.generateDS(spark, MoleculeGen.aidsLike(200), partitions = 2)
+    val dist = DistTed.run(spark, mds, TedConfig(k = 5, eMax = 10, timeoutMillis = 1))
+    assert(dist.result.timedOut)
+    assert(!DistTed.run(spark, ds, cfg).result.timedOut)
+  }
+
   test("distributed TED on generated molecules reaches sane coverage") {
     val p = MoleculeGen.aidsLike(30)
     val mds = GraphFrames.generateDS(spark, p, partitions = 4)

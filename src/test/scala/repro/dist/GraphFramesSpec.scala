@@ -17,6 +17,24 @@ class GraphFramesSpec extends SparkSpec {
     }
   }
 
+  private def decodeError(row: GraphRow): String =
+    intercept[IllegalArgumentException](GraphFrames.toGraph(row)).getMessage
+
+  test("decoding rejects an out-of-range vertex index") {
+    val msg = decodeError(GraphRow(41L, Array(0, 1, 2), Array(0, 1), Array(1, 3), Array(0, 0)))
+    assert(msg.contains("graph 41") && msg.contains("outside"), msg)
+  }
+
+  test("decoding rejects a duplicate undirected edge") {
+    val msg = decodeError(GraphRow(42L, Array(0, 1, 2), Array(0, 1, 1), Array(1, 2, 0), Array(0, 0, 0)))
+    assert(msg.contains("graph 42") && msg.contains("duplicate edge (0, 1)"), msg)
+  }
+
+  test("decoding rejects a disconnected graph") {
+    val msg = decodeError(GraphRow(43L, Array(0, 1, 2, 3), Array(0, 2), Array(1, 3), Array(0, 0)))
+    assert(msg.contains("graph 43") && msg.contains("not connected"), msg)
+  }
+
   test("edgeDF has one row per edge with endpoint labels") {
     val edf = GraphFrames.edgeDF(spark, ds)
     assert(edf.count() == db.totalEdges)

@@ -58,11 +58,23 @@ class EnumeratorSpec extends AnyFunSuite {
     assert(got == expected)
   }
 
+  /** Every C-C root embedding of the sample db, in descending graph order
+    * and with the first one repeated: embeddings out of graph order that
+    * image the same edges more than once.
+    */
+  private def scrambledNode(db: GraphDb): PatternNode = {
+    val cc = new Enumerator(db, 1).roots
+      .find(n => n.graph.vertexLabels.toSeq == Seq(SampleDb.C, SampleDb.C)).get
+    val embs = cc.embeddings.reverse :+ cc.embeddings.head
+    assert(embs.map(_.graphIdx).distinct.length > 1)
+    new PatternNode(cc.code, cc.rmPath, cc.nVerts, embs)
+  }
+
   test("cover sets agree with the independent SubIso path") {
     val db = SampleDb.db
-    enumerate(db, 3).foreach { node =>
+    (enumerate(db, 3) :+ scrambledNode(db)).foreach { node =>
       val viaIso = TestGraphs.coverViaSubIso(node.graph, db)
-      assert(node.coverGlobal(db).toSet == viaIso, s"pattern ${node.key}")
+      assert(node.coverGlobal(db).toSeq == viaIso.toSeq.sorted, s"pattern ${node.key}")
     }
   }
 
@@ -116,9 +128,10 @@ class EnumeratorSpec extends AnyFunSuite {
   }
 
   test("graphIds are sorted and distinct") {
-    enumerate(SampleDb.db10, 2).foreach { n =>
+    (enumerate(SampleDb.db10, 2) :+ scrambledNode(SampleDb.db)).foreach { n =>
       val ids = n.graphIds
       assert(ids.toSeq == ids.toSeq.distinct.sorted)
+      assert(ids.toSet == n.embeddings.map(_.graphIdx).toSet)
     }
   }
 

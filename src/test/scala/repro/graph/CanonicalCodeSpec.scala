@@ -120,6 +120,51 @@ class CanonicalCodeSpec extends AnyFunSuite {
     assert(!CanonicalCode.isMin(nonMin))
   }
 
+  /** A random valid DFS code of a connected subgraph of `g`: a random
+    * right-most walk from a random oriented edge. Every prefix is a valid
+    * DFS code too, canonical or not.
+    */
+  private def randomWalkCode(g: LabeledGraph, rng: Random, maxEdges: Int): Vector[CodeEdge] = {
+    val e0 = rng.nextInt(g.numEdges)
+    val (u, v) = if (rng.nextBoolean()) (g.src(e0), g.dst(e0)) else (g.dst(e0), g.src(e0))
+    var code = Vector(CodeEdge(0, 1, g.vertexLabel(u), g.edgeLabel(e0), g.vertexLabel(v)))
+    var vmap = Array(u, v)
+    var eids = Array(e0)
+    var rm = List(1, 0)
+    var go = true
+    while (go && code.length < maxEdges) {
+      val exts = scala.collection.mutable.ArrayBuffer.empty[(CodeEdge, Int, Int)]
+      RightMost.foreachExtension(g, rm, vmap.length, vmap, eids)((ce, w, eid) => exts += ((ce, w, eid)))
+      if (exts.isEmpty) go = false
+      else {
+        val (ce, w, eid) = exts(rng.nextInt(exts.length))
+        code :+= ce
+        if (w >= 0) { vmap :+= w; rm = DfsCode.extendRmPath(rm, ce) }
+        eids :+= eid
+      }
+    }
+    code
+  }
+
+  test("projected isMin agrees with the minCodeOf oracle on random DFS codes") {
+    val rng = new Random(2024)
+    var accepted = 0
+    var rejected = 0
+    (1 to 500).foreach { i =>
+      val g = TestGraphs.randomConnected(rng, 3 + rng.nextInt(6), rng.nextInt(4), 1 + rng.nextInt(3), 1 + rng.nextInt(2))
+      val code = randomWalkCode(g, rng, 1 + rng.nextInt(8))
+      (1 to code.length).foreach { n =>
+        val prefix = code.take(n)
+        val expected = CanonicalCode.minCodeOf(DfsCode.toGraph(prefix)) == prefix
+        assert(CanonicalCode.isMin(prefix) == expected, s"code $i prefix $prefix")
+        if (n > 1) { if (expected) accepted += 1 else rejected += 1 }
+      }
+    }
+    // Multi-edge prefixes of both kinds, so the projected walk, not only
+    // the one-edge shortcut, decides both ways.
+    assert(accepted > 0 && rejected > 0, s"accepted $accepted, rejected $rejected")
+  }
+
   test("DfsCode.key/parse round-trip") {
     val rng = new Random(3)
     (1 to 10).foreach { _ =>
